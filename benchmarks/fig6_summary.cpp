@@ -77,7 +77,7 @@ int main(int argc, char** argv)
 
     const std::map<core::Strategy, const char*> complexity = {
         {core::Strategy::herad, "O(n^2 b l (b+l))"},
-        {core::Strategy::twocatac, "O(2^n log(w(b+l)))"},
+        {core::Strategy::twocatac, "O(n b l log(n) log(w(b+l)))"},
         {core::Strategy::fertac, "O(n log(w(b+l)) + n)"},
         {core::Strategy::otac_big, "O(n log(w b))"},
         {core::Strategy::otac_little, "O(n log(w l))"},

@@ -38,7 +38,7 @@ void BM_Twocatac(benchmark::State& state)
         benchmark::DoNotOptimize(
             core::schedule(core::ScheduleRequest{chain, resources, core::Strategy::twocatac}));
 }
-BENCHMARK(BM_Twocatac)->Arg(20)->Arg(40);
+BENCHMARK(BM_Twocatac)->Arg(20)->Arg(40)->Arg(80)->Arg(160);
 
 void BM_Herad(benchmark::State& state)
 {

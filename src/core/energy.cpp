@@ -176,61 +176,8 @@ Solution energy_fertac(const TaskChain& chain, Resources resources, double targe
     return solution;
 }
 
-Solution energy_twocatac(const TaskChain& chain, Resources resources, double target_period,
-                         const PowerModel& model)
-{
-    if (chain.empty() || resources.total() < 1 || !(target_period > 0.0))
-        return Solution{};
-
-    // 2CATAC's two-candidate recursion with the core-exchange objective
-    // replaced by total active energy.
-    struct Builder {
-        const TaskChain& chain;
-        const PowerModel& model;
-        double target;
-
-        Solution build(int s, Resources available) const
-        {
-            const int n = chain.size();
-            Solution candidate[2];
-            for (const CoreType v : {CoreType::big, CoreType::little}) {
-                Solution& out = candidate[v == CoreType::big ? 0 : 1];
-                const auto cut = compute_stage(chain, s, available.count(v), v, target);
-                const Stage stage{s, cut.end, cut.used, v};
-                if (!stage_fits(chain, stage, available, target)) {
-                    out = Solution{};
-                } else if (stage.last == n) {
-                    out = Solution{{stage}};
-                } else {
-                    Resources remaining = available;
-                    remaining.count(v) -= stage.cores;
-                    Solution rest = build(stage.last + 1, remaining);
-                    if (rest.is_valid(chain, remaining, target)) {
-                        rest.prepend(stage);
-                        out = std::move(rest);
-                    } else {
-                        out = Solution{};
-                    }
-                }
-            }
-            const bool big_valid = candidate[0].is_valid(chain, available, target);
-            const bool little_valid = candidate[1].is_valid(chain, available, target);
-            if (big_valid && little_valid) {
-                const double big_energy = energy_per_item(chain, candidate[0], model);
-                const double little_energy = energy_per_item(chain, candidate[1], model);
-                return little_energy <= big_energy ? std::move(candidate[1])
-                                                  : std::move(candidate[0]);
-            }
-            if (big_valid)
-                return std::move(candidate[0]);
-            if (little_valid)
-                return std::move(candidate[1]);
-            return Solution{};
-        }
-    };
-
-    return Builder{chain, model, target_period}.build(1, resources);
-}
+// energy_twocatac lives in twocatac.cpp: it shares 2CATAC's memo table and
+// walk, with the energy choice rule in place of the core exchange.
 
 Solution energy_otac(const TaskChain& chain, int cores, CoreType v, double target_period)
 {

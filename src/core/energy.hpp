@@ -52,7 +52,8 @@ namespace amp::core::detail {
                                      double target_period, const PowerModel& model);
 
 /// Greedy heuristic: 2CATAC's two-candidate recursion at the fixed target,
-/// keeping the candidate with the lower total active energy.
+/// keeping the candidate with the lower total active energy. Memoized like
+/// 2CATAC itself (core/twocatac.hpp): O(n·b·l) states.
 [[nodiscard]] Solution energy_twocatac(const TaskChain& chain, Resources resources,
                                        double target_period, const PowerModel& model);
 

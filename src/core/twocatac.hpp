@@ -3,8 +3,12 @@
 //
 // Greedy heuristic that builds each stage with BOTH core types and keeps the
 // candidate that better serves the secondary objective (exchange big cores
-// for little ones; otherwise use fewer cores). Worst-case exponential in the
-// number of stages, but fast in practice for replicable-heavy chains.
+// for little ones; otherwise use fewer cores). At a fixed target period the
+// result for tasks [s, n] depends only on (s, available.big,
+// available.little), so ComputeSolution is memoized over those states:
+// O(n·b·l) states per binary-search probe, each costing two ComputeStage
+// calls, instead of the paper's exponential two-way recursion. The memo
+// returns exactly what the recursion returns (pinned in twocatac_test).
 
 #include "core/chain.hpp"
 #include "core/greedy_common.hpp"

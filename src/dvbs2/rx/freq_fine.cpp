@@ -135,12 +135,19 @@ FineFreqPf::synchronize(const std::vector<std::complex<float>>& frames) const
             }
         }
 
-        // Piecewise-linear phase profile over the frame.
+        // Piecewise-linear phase profile over the frame. Past the last
+        // anchor (the payload after the last pilot block) the residual CFO
+        // keeps turning the phase, so follow the last two anchors' slope.
         auto phase_at = [&](double position) {
             if (position <= anchors.front().first)
                 return anchors.front().second;
-            if (position >= anchors.back().first)
-                return anchors.back().second;
+            if (position >= anchors.back().first) {
+                if (anchors.size() < 2)
+                    return anchors.back().second;
+                const auto& [x0, y0] = anchors[anchors.size() - 2];
+                const auto& [x1, y1] = anchors.back();
+                return y1 + (position - x1) * (y1 - y0) / (x1 - x0);
+            }
             for (std::size_t a = 1; a < anchors.size(); ++a) {
                 if (position <= anchors[a].first) {
                     const double t = (position - anchors[a - 1].first)

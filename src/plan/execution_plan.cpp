@@ -247,6 +247,23 @@ PlanDelta diff(const ExecutionPlan& before, const ExecutionPlan& after)
     return delta;
 }
 
+bool applies_to(const ExecutionPlan& base, const PlanDelta& delta)
+{
+    if (!delta.compatible || delta.stages.size() != base.stage_count())
+        return false;
+    for (std::size_t s = 0; s < delta.stages.size(); ++s) {
+        const PlanStage& stage = base.stages()[s];
+        const StageDelta& sd = delta.stages[s];
+        if (stage.replicas != sd.replicas_before || stage.type != sd.type_before)
+            return false;
+        for (const int id : sd.retire_worker_ids)
+            if (std::find(stage.worker_ids.begin(), stage.worker_ids.end(), id)
+                == stage.worker_ids.end())
+                return false;
+    }
+    return true;
+}
+
 ExecutionPlan apply(const ExecutionPlan& base, const PlanDelta& delta)
 {
     if (!delta.compatible)

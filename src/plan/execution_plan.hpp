@@ -250,6 +250,12 @@ private:
 /// cut) is incompatible and names the reason.
 [[nodiscard]] PlanDelta diff(const ExecutionPlan& before, const ExecutionPlan& after);
 
+/// True when the compatible `delta` was computed against `base`: same
+/// stage count, and every stage still has the replica count and core type
+/// the delta starts from and every worker id it retires. A delta diffed
+/// from a plan that a concurrent swap has since replaced fails this check.
+[[nodiscard]] bool applies_to(const ExecutionPlan& base, const PlanDelta& delta);
+
 /// Applies a compatible delta: kept workers retain their ids, retired slots
 /// are removed, spawned slots get fresh ids from base.next_worker_id().
 /// Throws PlanError when the delta is incompatible or was computed against

@@ -313,6 +313,8 @@ public:
                 worker->retired.store(false);
                 worker->seg_done.store(false);
                 worker->last_beat_ns.store(now_ns());
+                // Only this thread writes epoch_; the release below bumps it.
+                worker->admitted.store(epoch_ + 1);
                 ++live[static_cast<std::size_t>(worker->stage)];
                 ++entered;
             }
@@ -482,13 +484,22 @@ public:
     using MonitorHook = std::function<void(double)>;
     void set_monitor_hook(MonitorHook hook) { monitor_hook_ = std::move(hook); }
 
+    /// Called with the worker id on each newly spawned worker's thread,
+    /// before the worker first waits for a segment. Lets a test hold a fresh
+    /// worker back and order it against swaps deterministically. Install
+    /// between runs only; the hook must not throw.
+    using WorkerStartHook = std::function<void(int)>;
+    void set_worker_start_hook(WorkerStartHook hook) { worker_start_hook_ = std::move(hook); }
+
     /// Frame-granular hot-swap: applies a resize-only delta while a stream
     /// segment is in flight, without draining. Queues and untouched stages
     /// survive; spawned workers enter the *current* epoch (they start
     /// pulling frames at the next frame boundary) and retired workers
     /// finish their in-flight frame and park. Returns false -- without
     /// mutating anything -- when the delta does not qualify (incompatible,
-    /// or it rebinds a stage) or when a dead sequential stage's original
+    /// or it rebinds a stage), when it was computed against a plan other
+    /// than the current one (a concurrent swap landed first; diff again and
+    /// retry), or when a dead sequential stage's original
     /// task instances cannot be reclaimed within `reclaim_timeout` (the
     /// previous owner may still be running; fall back to apply_delta after
     /// the drain). Safe to call from the loss handler (watchdog thread) or
@@ -502,6 +513,8 @@ public:
         if (!delta.resize_only())
             return false;
         std::lock_guard swap_lock{swap_mutex_};
+        if (!plan::applies_to(plan_, delta))
+            return false;
         plan::ExecutionPlan next = plan::apply(plan_, delta);
         validate_against_sequence(next);
 
@@ -603,6 +616,9 @@ private:
         // -- lifecycle -----------------------------------------------------
         std::atomic<bool> dismissed{false}; ///< retire request (apply_delta)
         std::atomic<bool> gone{false};      ///< thread exited for good
+        /// Epoch of the segment whose entered count includes this worker
+        /// (0 = none yet). Written before that epoch is released.
+        std::atomic<std::uint64_t> admitted{0};
 
         // -- per-segment ---------------------------------------------------
         std::atomic<std::int64_t> last_beat_ns{0};
@@ -868,6 +884,7 @@ private:
             std::lock_guard lock{epoch_mutex_};
             if (enter_current && segment_active_) {
                 born_epoch = epoch_ - 1; // wait predicate is already true
+                worker->admitted.store(epoch_);
                 ++seg_.entered;
                 seg_.live_in_stage[static_cast<std::size_t>(stage)].fetch_add(1);
             } else {
@@ -879,9 +896,12 @@ private:
             : config_.core_map[static_cast<std::size_t>(worker->id)
                                % config_.core_map.size()];
         Worker* raw = worker.get();
-        worker->thread = std::thread{[this, raw, born_epoch, pin_cpu] {
+        worker->thread = std::thread{[this, raw, born_epoch, pin_cpu,
+                                      start_hook = worker_start_hook_] {
             if (pin_cpu >= 0)
                 (void)pin_current_thread_to_cpu(pin_cpu);
+            if (start_hook)
+                start_hook(raw->id);
             worker_main(*raw, born_epoch);
         }};
         workers_.push_back(std::move(worker));
@@ -1076,15 +1096,18 @@ private:
                 epoch_cv_.wait(lock, [&] {
                     return shutdown_ || me.dismissed.load() || epoch_ > seen_epoch;
                 });
-                if (shutdown_ || me.dismissed.load()) {
+                // A worker counted into the open segment owes it a park,
+                // even when it was dismissed or fenced before it first woke
+                // (e.g. spawned mid-segment and retired by the next swap):
+                // run_segment then stops at once, after the same retire
+                // bookkeeping as a worker that ran. Any other wake-up --
+                // dismissed or fenced while parked -- never re-enters.
+                const bool admitted = epoch_ > seen_epoch && me.admitted.load() == epoch_;
+                if (shutdown_ || !admitted) {
                     me.gone.store(true);
                     return;
                 }
                 seen_epoch = epoch_;
-                if (me.fenced.load()) { // fenced while parked: never re-enter
-                    me.gone.store(true);
-                    return;
-                }
             }
             run_segment(me);
             // Order matters: seg_done (task instances released) must be
@@ -1601,6 +1624,7 @@ private:
     std::mutex swap_mutex_; ///< serializes try_apply_delta_in_flight calls
     LossHandler loss_handler_;
     MonitorHook monitor_hook_;
+    WorkerStartHook worker_start_hook_;
 
     obs::TraceRecorder* trace_ = nullptr; ///< resolved once at materialize
     std::size_t watchdog_track_ = 0;

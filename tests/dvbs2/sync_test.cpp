@@ -256,6 +256,48 @@ TEST(FineFreqPf, CorrectsLinearPhaseDriftAndRemovesPilots)
     EXPECT_EQ(QpskModem::hard_decide(out_payload), QpskModem::hard_decide(payload));
 }
 
+TEST(FineFreqPf, TracksResidualCfoPastTheLastPilotBlock)
+{
+    // A residual CFO turns the phase linearly across the frame. The ~900
+    // payload symbols after the last pilot block have no anchor behind
+    // them; holding the last anchor's phase there left a mean error of
+    // ~0.3 rad at this CFO, against ~0 between the anchors.
+    amp::Rng rng{11};
+    const PilotLayout layout{8100, 36, 1440};
+    const int plframe = 90 + layout.total_symbols();
+    const auto payload = random_qpsk(8100, rng);
+    auto frame = PlhFramer::insert((2 << 3) | 2, insert_pilots(payload, layout));
+    const double cfo = 1e-4; // cycles per symbol
+    for (std::size_t n = 0; n < frame.size(); ++n) {
+        const double phi = 0.3 + 2.0 * std::numbers::pi * cfo * static_cast<double>(n);
+        frame[n] *= std::complex<float>{static_cast<float>(std::cos(phi)),
+                                        static_cast<float>(std::sin(phi))};
+        frame[n] += std::complex<float>{0.05F * static_cast<float>(rng.normal()),
+                                        0.05F * static_cast<float>(rng.normal())};
+    }
+
+    const FineFreqPf pf{plframe, layout};
+    const auto corrected = pf.synchronize(frame);
+    ASSERT_EQ(static_cast<int>(corrected.size()), 90 + 8100);
+
+    // Mean signed phase error of the payload before and after the last
+    // pilot block (5 blocks, so the tail starts after 5 x 1440 symbols).
+    const std::size_t tail_start = 5 * 1440;
+    double body = 0.0;
+    double tail = 0.0;
+    for (std::size_t k = 0; k < payload.size(); ++k) {
+        const std::complex<double> out{corrected[90 + k].real(), corrected[90 + k].imag()};
+        const std::complex<double> ref{payload[k].real(), payload[k].imag()};
+        (k < tail_start ? body : tail) += std::arg(out * std::conj(ref));
+    }
+    body /= static_cast<double>(tail_start);
+    tail /= static_cast<double>(payload.size() - tail_start);
+
+    constexpr double kBound = 0.05; // rad
+    EXPECT_LT(std::abs(body), kBound);
+    EXPECT_LT(std::abs(tail), kBound) << "tail mean phase error " << tail << " rad";
+}
+
 TEST(FineFreqLr, ReducesResidualCfo)
 {
     amp::Rng rng{7};

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace {
 
 using namespace amp::core;
@@ -26,6 +28,11 @@ struct PinnedRow {
     int paper_big_used;
     int paper_little_used;
 };
+
+// Prints a row as its id. The default byte dump would show the row's
+// pointers, which change with every build and load address, and gtest puts
+// the printed parameter into each listed test's name.
+void PrintTo(const PinnedRow& row, std::ostream* os) { *os << row.id; }
 
 Solution compute(const PinnedRow& row)
 {

@@ -13,6 +13,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -131,6 +135,34 @@ TEST(PipelineFrameSwap, RefusesNonResizeOnlyDeltas)
         << "a declined swap must not mutate the plan";
 }
 
+// Two actors diff against the same plan; the second swap to land finds a
+// different base and must be declined without touching the pipeline.
+TEST(PipelineFrameSwap, DeclinesADeltaComputedAgainstAReplacedPlan)
+{
+    const TaskChain chain = resize_only_chain();
+    auto seq = make_sequence(5);
+    rt::Pipeline<Frame> pipeline{seq, compile_two_stage(chain, CoreType::little, 2),
+                                 rt::PipelineConfig{}};
+    const plan::PlanDelta grow =
+        plan::diff(pipeline.execution_plan(), compile_two_stage(chain, CoreType::little, 3));
+    const plan::PlanDelta stale =
+        plan::diff(pipeline.execution_plan(), compile_two_stage(chain, CoreType::little, 4));
+    ASSERT_TRUE(grow.resize_only());
+    ASSERT_TRUE(stale.resize_only());
+
+    EXPECT_TRUE(pipeline.try_apply_delta_in_flight(grow));
+    EXPECT_FALSE(pipeline.try_apply_delta_in_flight(stale))
+        << "a delta diffed from the replaced plan must be declined, not thrown";
+    EXPECT_EQ(pipeline.execution_plan().stages()[1].replicas, 3)
+        << "a declined swap must not mutate the plan";
+
+    std::vector<std::uint64_t> delivered;
+    const rt::RunResult result =
+        pipeline.run(50, [&](Frame& f) { delivered.push_back(f.seq); });
+    EXPECT_EQ(result.frames, 50u);
+    EXPECT_EQ(delivered.size(), 50u);
+}
+
 // The tentpole path: grow and then shrink the replicated stage while a
 // segment is in flight. Queues and untouched workers survive, every frame
 // is delivered exactly once and in order, and the worker census ends where
@@ -217,6 +249,88 @@ TEST(PipelineFrameSwap, SurvivesRepeatedMidSegmentResizes)
     for (std::size_t i = 0; i < delivered.size(); ++i)
         EXPECT_EQ(delivered[i], i);
     EXPECT_GT(applied, 0) << "the stress run must actually exercise the swap path";
+}
+
+// Regression: a replica spawned mid-segment is counted into the segment
+// before its thread first runs. A shrink that retires it before then must
+// still let the segment end (the retired worker parks without running a
+// frame). The start hook holds the new thread back so the order is fixed.
+TEST(PipelineFrameSwap, RetiringASpawnedWorkerBeforeItRunsLetsTheSegmentEnd)
+{
+    constexpr std::uint64_t kFrames = 300;
+    const TaskChain chain = resize_only_chain();
+    auto seq = make_sequence(5, /*sleep_us=*/50);
+
+    rt::PipelineConfig config;
+    std::vector<std::uint64_t> delivered;
+    std::atomic<std::uint64_t> delivered_count{0};
+    const auto collect = [&](Frame& f) {
+        delivered.push_back(f.seq);
+        delivered_count.fetch_add(1);
+    };
+
+    rt::Pipeline<Frame> pipeline{seq, compile_two_stage(chain, CoreType::little, 1), config};
+
+    std::mutex gate_mutex;
+    std::condition_variable gate_cv;
+    bool gate_open = false;
+    std::atomic<bool> hold{false};
+    std::atomic<int> held{0};
+    pipeline.set_worker_start_hook([&](int) {
+        if (!hold.load())
+            return;
+        held.fetch_add(1);
+        std::unique_lock lock{gate_mutex};
+        gate_cv.wait(lock, [&] { return gate_open; });
+    });
+
+    rt::RunResult result;
+    std::atomic<bool> finished{false};
+    std::thread runner{[&] {
+        result = pipeline.run(kFrames, collect);
+        finished.store(true);
+    }};
+    while (delivered_count.load() < 10)
+        std::this_thread::sleep_for(milliseconds{1});
+
+    hold.store(true);
+    EXPECT_TRUE(pipeline.try_apply_delta_in_flight(
+        plan::diff(pipeline.execution_plan(), compile_two_stage(chain, CoreType::little, 2))));
+    while (held.load() == 0)
+        std::this_thread::sleep_for(milliseconds{1});
+    // The new replica is the stage's only clone owner, so the shrink
+    // retires it while its thread is still held at the start hook.
+    EXPECT_TRUE(pipeline.try_apply_delta_in_flight(
+        plan::diff(pipeline.execution_plan(), compile_two_stage(chain, CoreType::little, 1))));
+    {
+        std::lock_guard lock{gate_mutex};
+        gate_open = true;
+    }
+    gate_cv.notify_all();
+
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds{30};
+    while (!finished.load() && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(milliseconds{5});
+    if (!finished.load()) {
+        std::fprintf(stderr, "run_from never returned: the retired worker did not park\n");
+        std::abort(); // the runner cannot be joined
+    }
+    runner.join();
+
+    EXPECT_EQ(result.frames, kFrames);
+    EXPECT_EQ(result.frames_dropped, 0u);
+    ASSERT_EQ(delivered.size(), kFrames);
+    for (std::size_t i = 0; i < delivered.size(); ++i)
+        EXPECT_EQ(delivered[i], i);
+    EXPECT_EQ(pipeline.live_workers(), 2);
+    EXPECT_EQ(pipeline.spawned_workers(), 3);
+
+    // The retired worker is reaped between segments; the next run is clean.
+    hold.store(false);
+    delivered.clear();
+    const rt::RunResult again = pipeline.run(50, collect);
+    EXPECT_EQ(again.frames, 50u);
+    EXPECT_EQ(pipeline.live_workers(), 2);
 }
 
 /// Kill stage 0's only worker mid-stream and recover with the given options.

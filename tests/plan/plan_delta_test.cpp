@@ -166,6 +166,31 @@ TEST(PlanApply, RejectsDeltaFromADifferentBase)
     EXPECT_THROW((void)plan::apply(b, delta), plan::PlanError);
 }
 
+TEST(PlanApply, AppliesToNamesTheBaseADeltaWasComputedAgainst)
+{
+    const core::TaskChain chain = five_task_chain();
+    const plan::ExecutionPlan a =
+        compile(chain, {{1, 1, 1, CoreType::big}, {2, 5, 3, CoreType::little}});
+    const plan::ExecutionPlan b =
+        compile(chain, {{1, 1, 1, CoreType::big}, {2, 5, 2, CoreType::little}});
+
+    const plan::PlanDelta shrink = plan::diff(a, b);
+    EXPECT_TRUE(plan::applies_to(a, shrink));
+    EXPECT_FALSE(plan::applies_to(b, shrink)) << "stage 1 no longer has 3 replicas";
+
+    // Same replica counts as the delta's base, but the worker it retires is
+    // gone: a shrink then a grow hands the slot a fresh id.
+    const plan::ExecutionPlan regrown = plan::apply(plan::apply(a, shrink), plan::diff(b, a));
+    ASSERT_EQ(regrown.stages()[1].replicas, 3);
+    EXPECT_FALSE(plan::applies_to(regrown, shrink));
+    EXPECT_THROW((void)plan::apply(regrown, shrink), plan::PlanError);
+
+    const plan::PlanDelta recut =
+        plan::diff(a, compile(chain, {{1, 2, 1, CoreType::big}, {3, 5, 3, CoreType::little}}));
+    ASSERT_FALSE(recut.compatible);
+    EXPECT_FALSE(plan::applies_to(a, recut));
+}
+
 TEST(PlanApply, DiffApplyRoundTripsOnRandomChains)
 {
     for (const std::uint64_t seed : {3ULL, 11ULL, 77ULL}) {

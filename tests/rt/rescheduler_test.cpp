@@ -486,7 +486,18 @@ TEST(RunWithRecovery, CoreLossUnderAdmissionSaturationStillSolvesExactlyOnce)
         }
     }};
 
-    auto seq = make_runtime_sequence(5);
+    // The kill fires on the first frame >= 20 that worker 1 draws, and
+    // worker 1 shares stage 1 with two replicas. With instant tasks those
+    // two could drain the rest of the stream while worker 1 waits for a
+    // core, and no loss would happen at all. A short sleep per replicated
+    // task keeps every replica busy, so worker 1 draws a frame.
+    TaskSequence<Frame> seq;
+    for (int i = 1; i <= 5; ++i)
+        seq.push_back(make_task<Frame>("t" + std::to_string(i), i == 1, [i](Frame& f) {
+            if (i != 1)
+                std::this_thread::sleep_for(std::chrono::microseconds{50});
+            f.value += i;
+        }));
     FaultInjector injector;
     injector.add(FaultSpec{FaultKind::kill, 20, 0, 1, 1, milliseconds{0}});
 
@@ -500,6 +511,7 @@ TEST(RunWithRecovery, CoreLossUnderAdmissionSaturationStillSolvesExactlyOnce)
     junk.join();
 
     EXPECT_TRUE(report.completed);
+    EXPECT_EQ(injector.pending(), 0u) << "the planned kill fired";
     ASSERT_EQ(report.total.losses.size(), 1u);
     EXPECT_EQ(rescheduler.resources(), (Resources{1, 2}));
     expect_feasible(rescheduler.solution(), chain, Resources{1, 2});
